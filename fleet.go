@@ -70,7 +70,7 @@ type FleetConfig struct {
 // processing is in flight (a batch barrier). Members that have not
 // completed their first full digest round run fail-closed (P_d = 1).
 type Fleet struct {
-	limiters  []*Limiter
+	limiters  limiterSet
 	nodes     []*replica.Node
 	transport FleetTransport
 }
@@ -137,12 +137,7 @@ func (fl *Fleet) Replicas() int { return len(fl.limiters) }
 // directions of a connection on the same member. Real deployments
 // route by topology instead; any member gives the same verdict after
 // convergence. Unroutable packets map to replica 0.
-func (fl *Fleet) ReplicaOf(p Packet) int {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
-		return 0
-	}
-	return int(connHash(p) % uint64(len(fl.limiters)))
-}
+func (fl *Fleet) ReplicaOf(p Packet) int { return fl.limiters.route(p) }
 
 // ProcessOnReplica decides a packet on member i. The caller must
 // ensure each member index is used from one goroutine at a time, with
@@ -201,30 +196,10 @@ func (fl *Fleet) ReplicaMetrics(i int) replica.Metrics { return fl.nodes[i].Metr
 func (fl *Fleet) Limiter(i int) *Limiter { return fl.limiters[i] }
 
 // MemoryBytes returns the total bitmap memory across members.
-func (fl *Fleet) MemoryBytes() int {
-	total := 0
-	for _, l := range fl.limiters {
-		total += l.MemoryBytes()
-	}
-	return total
-}
+func (fl *Fleet) MemoryBytes() int { return fl.limiters.memoryBytes() }
 
 // ExpiryHorizon returns the shared T_e of the members.
 func (fl *Fleet) ExpiryHorizon() time.Duration { return fl.limiters[0].ExpiryHorizon() }
 
 // Stats sums the per-member activity counters.
-func (fl *Fleet) Stats() Stats {
-	var sum Stats
-	for _, l := range fl.limiters {
-		st := l.Stats()
-		sum.OutboundPackets += st.OutboundPackets
-		sum.InboundPackets += st.InboundPackets
-		sum.InboundMatched += st.InboundMatched
-		sum.InboundUnmatched += st.InboundUnmatched
-		sum.Dropped += st.Dropped
-		sum.Rotations += st.Rotations
-		sum.Unroutable += st.Unroutable
-		sum.TimeAnomalies += st.TimeAnomalies
-	}
-	return sum
-}
+func (fl *Fleet) Stats() Stats { return fl.limiters.stats() }

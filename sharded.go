@@ -17,7 +17,47 @@ import (
 // behaviour approximates a single limiter with the full thresholds, while
 // each shard remains single-threaded and lock-free on its hot path.
 type ShardedLimiter struct {
-	shards []*Limiter
+	shards limiterSet
+}
+
+// limiterSet is the route-then-delegate helper shared by
+// ShardedLimiter shards and Fleet members: packets route to one member
+// by connection hash, and counters and memory fan in by summation.
+type limiterSet []*Limiter
+
+// route picks the member for p by the order-independent connection
+// hash, so σ and σ̄ agree; unroutable (non-IPv4) packets map to member 0.
+func (ls limiterSet) route(p Packet) int {
+	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
+		return 0
+	}
+	return int(connHash(p) % uint64(len(ls)))
+}
+
+// stats sums the members' activity counters.
+func (ls limiterSet) stats() Stats {
+	var sum Stats
+	for _, l := range ls {
+		st := l.Stats()
+		sum.OutboundPackets += st.OutboundPackets
+		sum.InboundPackets += st.InboundPackets
+		sum.InboundMatched += st.InboundMatched
+		sum.InboundUnmatched += st.InboundUnmatched
+		sum.Dropped += st.Dropped
+		sum.Rotations += st.Rotations
+		sum.Unroutable += st.Unroutable
+		sum.TimeAnomalies += st.TimeAnomalies
+	}
+	return sum
+}
+
+// memoryBytes returns the members' total bitmap memory.
+func (ls limiterSet) memoryBytes() int {
+	total := 0
+	for _, l := range ls {
+		total += l.MemoryBytes()
+	}
+	return total
 }
 
 // NewSharded builds n independent shards from cfg. The per-shard RED
@@ -33,7 +73,7 @@ func NewSharded(cfg Config, n int) (*ShardedLimiter, error) {
 	shardCfg := cfg
 	shardCfg.LowMbps = cfg.LowMbps / float64(n)
 	shardCfg.HighMbps = cfg.HighMbps / float64(n)
-	shards := make([]*Limiter, n)
+	shards := make(limiterSet, n)
 	for i := range shards {
 		shardCfg.Seed = cfg.Seed + uint64(i)
 		l, err := New(shardCfg)
@@ -52,14 +92,7 @@ func (s *ShardedLimiter) Shards() int { return len(s.shards) }
 // goroutine per shard route packets with this and then call
 // ProcessOnShard from the owning goroutine. Unroutable packets (non-IPv4
 // addresses) all map to shard 0, whose Limiter counts and drops them.
-func (s *ShardedLimiter) ShardOf(p Packet) int {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
-		return 0
-	}
-	// Order-independent endpoint hash: σ and σ̄ must agree.
-	h := connHash(p)
-	return int(h % uint64(len(s.shards)))
-}
+func (s *ShardedLimiter) ShardOf(p Packet) int { return s.shards.route(p) }
 
 // ProcessOnShard decides a packet on the given shard. The caller must
 // ensure that each shard index is only ever used from one goroutine at a
@@ -76,13 +109,7 @@ func (s *ShardedLimiter) Process(p Packet) Decision {
 }
 
 // MemoryBytes returns the total bitmap memory across shards.
-func (s *ShardedLimiter) MemoryBytes() int {
-	total := 0
-	for _, l := range s.shards {
-		total += l.MemoryBytes()
-	}
-	return total
-}
+func (s *ShardedLimiter) MemoryBytes() int { return s.shards.memoryBytes() }
 
 // ExpiryHorizon returns the shared T_e of the shards.
 func (s *ShardedLimiter) ExpiryHorizon() time.Duration {
@@ -92,21 +119,7 @@ func (s *ShardedLimiter) ExpiryHorizon() time.Duration {
 // Stats sums the per-shard activity counters. Safe to call from any
 // goroutine concurrently with processing — every counter is an atomic —
 // but cross-counter identities only hold on a quiescent limiter.
-func (s *ShardedLimiter) Stats() Stats {
-	var sum Stats
-	for _, l := range s.shards {
-		st := l.Stats()
-		sum.OutboundPackets += st.OutboundPackets
-		sum.InboundPackets += st.InboundPackets
-		sum.InboundMatched += st.InboundMatched
-		sum.InboundUnmatched += st.InboundUnmatched
-		sum.Dropped += st.Dropped
-		sum.Rotations += st.Rotations
-		sum.Unroutable += st.Unroutable
-		sum.TimeAnomalies += st.TimeAnomalies
-	}
-	return sum
-}
+func (s *ShardedLimiter) Stats() Stats { return s.shards.stats() }
 
 // UplinkMbps sums the measured uplink throughput across shards.
 func (s *ShardedLimiter) UplinkMbps() float64 {

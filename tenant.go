@@ -141,9 +141,11 @@ type routeTable struct {
 //
 // Concurrency contract: packet processing, hydration, and eviction are
 // single-writer per shard (use TenantPipeline for one worker per
-// shard); AddTenants, SaveState, and RestoreState are control-plane
-// calls that must not run concurrently with processing; Stats,
-// TenantStats, and telemetry scrapes may run at any time.
+// shard); AddTenants may run concurrently with processing, since it
+// publishes a copy-on-write route table and touches no shard state;
+// SaveTenantState and RestoreTenantState are control-plane calls that
+// must not run concurrently with processing; Stats, TenantStats, and
+// telemetry scrapes may run at any time.
 type TenantManager struct {
 	cfg     TenantManagerConfig
 	tmpl    Config
@@ -232,10 +234,13 @@ func (m *TenantManager) AddTenant(tc TenantConfig) error {
 
 // AddTenants registers a batch of subscriber networks. The route table
 // is cloned once per call — registering 100k tenants in one batch costs
-// one copy, not 100k — and published atomically, so processing on other
-// shards may continue while tenants are added; the new tenants become
-// routable when the call returns. Tenants start cold: no filter
-// vectors are allocated until their first packet hydrates them.
+// one copy, not 100k — and published atomically, so processing may
+// continue while tenants are added; the new tenants become routable
+// when the call returns. A TenantPipeline worker decides each packet
+// only among its own shard's tenants, so a packet queued before the
+// call never reaches a new tenant on another shard. Tenants start
+// cold: no filter vectors are allocated until their first packet
+// hydrates them.
 func (m *TenantManager) AddTenants(tcs []TenantConfig) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -299,22 +304,23 @@ func (m *TenantManager) AddTenants(tcs []TenantConfig) error {
 // route resolves a packet to its tenant: the source subscriber if the
 // source address is registered (the outbound view, matching
 // packet.Classify's source preference), else the destination
-// subscriber. ok is false for unclassifiable (non-IPv4) packets. The
-// lookup is lock-free and allocation-free: one atomic load, a shift,
-// and at most two reads of an immutable map.
+// subscriber. When own is non-nil only the tenants of shard own count.
+// ok is false for unclassifiable (non-IPv4) packets. The lookup is
+// lock-free and allocation-free: one atomic load, a shift, and at most
+// two reads of an immutable map.
 //
 //p2p:hotpath
-func (m *TenantManager) route(p *Packet) (t *tenant, ok bool) {
+func (m *TenantManager) route(p *Packet, own *tshard) (t *tenant, ok bool) {
 	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
 		return nil, false
 	}
 	rt := m.routes.Load()
 	s := p.SrcAddr.As4()
-	if t := rt.byKey[uint32(packet.AddrFrom4(s[0], s[1], s[2], s[3]))>>rt.shift]; t != nil {
+	if t := rt.byKey[uint32(packet.AddrFrom4(s[0], s[1], s[2], s[3]))>>rt.shift]; t != nil && (own == nil || t.sh == own) {
 		return t, true
 	}
 	d := p.DstAddr.As4()
-	if t := rt.byKey[uint32(packet.AddrFrom4(d[0], d[1], d[2], d[3]))>>rt.shift]; t != nil {
+	if t := rt.byKey[uint32(packet.AddrFrom4(d[0], d[1], d[2], d[3]))>>rt.shift]; t != nil && (own == nil || t.sh == own) {
 		return t, true
 	}
 	return nil, true
@@ -328,7 +334,7 @@ func (m *TenantManager) route(p *Packet) (t *tenant, ok bool) {
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) Process(p Packet) Decision {
-	t, ok := m.route(&p)
+	t, ok := m.route(&p, nil)
 	if t == nil {
 		if ok {
 			m.noTenant.Add(1)
@@ -350,10 +356,22 @@ func (m *TenantManager) Process(p Packet) Decision {
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
+	return m.processBatch(pkts, dst, nil)
+}
+
+// processBatch is ProcessBatch with routing restricted, when own is
+// non-nil, to the tenants of shard own: a packet none of whose
+// subscribers lives there is a no-tenant drop. With an unchanged route
+// table a packet queued on its route's shard resolves to the same
+// tenant either way; the restriction only matters once AddTenants has
+// registered a subscriber on another shard after the packet was queued.
+//
+//p2p:confined tenantshard
+func (m *TenantManager) processBatch(pkts []Packet, dst []Decision, own *tshard) []Decision {
 	var run *tenant
 	start := 0
 	for i := range pkts {
-		t, ok := m.route(&pkts[i])
+		t, ok := m.route(&pkts[i], own)
 		if t == nil {
 			if ok {
 				m.noTenant.Add(1)
@@ -653,7 +671,7 @@ func (m *TenantManager) Shards() int { return len(m.shards) }
 //
 //p2p:hotpath
 func (m *TenantManager) shardOf(p *Packet) int {
-	t, _ := m.route(p)
+	t, _ := m.route(p, nil)
 	if t == nil {
 		return -1
 	}

@@ -83,7 +83,7 @@ type tenantFrame struct {
 
 // SaveTenantState serializes every registered tenant's suspended state
 // so a restarted edge process can resume admitting the flows each
-// subscriber's filter was tracking. It is a control-plane call: like
+// subscriber's filter was tracking. It is a control-plane call: unlike
 // AddTenants, it must not run concurrently with packet processing
 // (quiesce or Drain a TenantPipeline first). Hydrated tenants are
 // serialized in place without being evicted.
